@@ -70,20 +70,21 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./...
 
 ## bench-json: track the hot paths — the cache-engine CacheAccess/ExecLoad
-## microbenchmarks, the sequential-vs-parallel auto-tuning pipeline
-## (BenchmarkTune), and the two end-to-end steady-state benchmarks
-## (BenchmarkProxyStep: a full AlexNet proxy step on a pooled session;
-## BenchmarkServeRun: the in-process scheduler round-trip of a repeated
-## /v1/run), plus BenchmarkServeConcurrentCold — eight concurrent cold
-## requests spanning two trace groups, served request-per-sweep (solo)
-## versus through one collection window (coalesced) — and write the results
-## to BENCH_cache.json.  Each benchmark runs -count=5 times; benchjson
-## keeps the minimum ns/op (and the maximum allocs/op) so one noisy host
-## run cannot skew the baseline.  ProxyStep (sequential) and ServeRun must
-## report 0 allocs/op: the compare gate fails on any new allocation on a
-## zero-alloc benchmark.
+## microbenchmarks, the miss-heavy instruction-fetch model (ExecFetch), the
+## sequential-vs-parallel auto-tuning pipeline (BenchmarkTune), and the two
+## end-to-end steady-state benchmarks (BenchmarkProxyStep: a full AlexNet
+## proxy step on a pooled session; BenchmarkServeRun: the in-process
+## scheduler round-trip of a repeated /v1/run), plus
+## BenchmarkServeConcurrentCold — eight concurrent cold requests spanning two
+## trace groups, served request-per-sweep (solo) versus through one
+## collection window (coalesced) — and write the results to BENCH_cache.json
+## with the host they ran on (CPU model, nproc, GOMAXPROCS, Go version,
+## commit).  Each benchmark runs -count=5 times; benchjson keeps the minimum
+## ns/op (and the maximum allocs/op) so one noisy host run cannot skew the
+## baseline.  ProxyStep (sequential) and ServeRun must report 0 allocs/op:
+## the compare gate fails on any new allocation on a zero-alloc benchmark.
 bench-json:
-	$(GO) test -run='^$$' -bench='CacheAccess|ExecLoad' -benchmem -benchtime=100000x -count=5 -json \
+	$(GO) test -run='^$$' -bench='CacheAccess|ExecLoad|ExecFetch' -benchmem -benchtime=100000x -count=5 -json \
 		./internal/arch ./internal/sim > BENCH_cache.tmp
 	$(GO) test -run='^$$' -bench='Tune' -benchmem -benchtime=3x -count=5 -json \
 		./internal/tuner >> BENCH_cache.tmp
@@ -97,21 +98,23 @@ bench-json:
 	rm -f BENCH_cache.tmp
 
 ## bench-check: the bench regression gate — rerun the tracked hot-path
-## benchmarks and diff them against the committed BENCH_cache.json baseline;
-## fails on >25% ns/op regressions or new allocations on zero-alloc
-## benchmarks.  BENCH_GATE=off falls back to a -benchtime=1x smoke run for
-## hosts too noisy to hold the baseline (refresh the baseline itself with
-## `make bench-json`, ideally from the nightly workflow's artifact).
+## benchmarks and diff them against the committed BENCH_cache.json baseline
+## (the baseline's host is printed next to this one's: ns/op only compares
+## on one host); fails on >25% ns/op regressions or new allocations on
+## zero-alloc benchmarks.  BENCH_GATE=off falls back to a -benchtime=1x
+## smoke run for hosts too noisy to hold the baseline (refresh the baseline
+## itself with `make bench-json`, ideally from the nightly workflow's
+## artifact).
 bench-check:
 	@if [ "$(BENCH_GATE)" = "off" ]; then \
 		echo "bench-check: BENCH_GATE=off -- smoke run only (no baseline comparison)"; \
-		$(GO) test -run='^$$' -bench='CacheAccess|ExecLoad' -benchtime=1x ./internal/arch ./internal/sim && \
+		$(GO) test -run='^$$' -bench='CacheAccess|ExecLoad|ExecFetch' -benchtime=1x ./internal/arch ./internal/sim && \
 		$(GO) test -run='^$$' -bench='Tune' -benchtime=1x ./internal/tuner && \
 		$(GO) test -run='^$$' -bench='ServeRun|ServeConcurrentCold' -benchtime=1x ./internal/serve && \
 		$(GO) test -run='^$$' -bench='ProxyStep' -benchtime=1x .; \
 	else \
 		rm -f BENCH_fresh.tmp && \
-		$(GO) test -run='^$$' -bench='CacheAccess|ExecLoad' -benchmem -benchtime=100000x -count=5 -json ./internal/arch ./internal/sim > BENCH_fresh.tmp && \
+		$(GO) test -run='^$$' -bench='CacheAccess|ExecLoad|ExecFetch' -benchmem -benchtime=100000x -count=5 -json ./internal/arch ./internal/sim > BENCH_fresh.tmp && \
 		$(GO) test -run='^$$' -bench='Tune' -benchmem -benchtime=3x -count=5 -json ./internal/tuner >> BENCH_fresh.tmp && \
 		$(GO) test -run='^$$' -bench='ServeRun' -benchmem -benchtime=100000x -count=5 -json ./internal/serve >> BENCH_fresh.tmp && \
 		$(GO) test -run='^$$' -bench='ServeConcurrentCold' -benchmem -benchtime=2x -count=5 -json ./internal/serve >> BENCH_fresh.tmp && \

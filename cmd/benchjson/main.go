@@ -13,6 +13,12 @@
 // benchmark is missing from the fresh run:
 //
 //	go test -run='^$' -bench=... -benchmem -json ./... | benchjson -compare BENCH_cache.json -tolerance 0.25
+//
+// Every summary records the host it was measured on (CPU model, nproc,
+// GOMAXPROCS, Go version, git commit), and -compare prints the baseline's
+// host next to the fresh one, since ns/op is only comparable on one host.
+// Run benchjson in the environment `go test` ran in: GOMAXPROCS and the Go
+// version are read from benchjson's own runtime.
 package main
 
 import (
@@ -22,6 +28,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -45,8 +53,62 @@ type result struct {
 }
 
 type summary struct {
-	GeneratedBy string   `json:"generated_by"`
-	Benchmarks  []result `json:"benchmarks"`
+	GeneratedBy string `json:"generated_by"`
+	// Host is nil in baselines written before hosts were recorded.
+	Host       *host    `json:"host,omitempty"`
+	Benchmarks []result `json:"benchmarks"`
+}
+
+// host describes the machine a summary was measured on.
+type host struct {
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+	Commit     string `json:"commit"`
+}
+
+// currentHost describes this machine and the checkout benchjson runs in.
+func currentHost() *host {
+	return &host{
+		CPU:        cpuModel(),
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Go:         runtime.Version(),
+		Commit:     gitCommit(),
+	}
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or "unknown".
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, value, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "model name" {
+			return strings.TrimSpace(value)
+		}
+	}
+	return "unknown"
+}
+
+// gitCommit returns the checked-out commit, or "unknown" outside a git
+// checkout.
+func gitCommit() string {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	return strings.TrimSpace(string(out))
+}
+
+// String renders the host on one line; a nil host was not recorded.
+func (h *host) String() string {
+	if h == nil {
+		return "not recorded"
+	}
+	return fmt.Sprintf("cpu=%q nproc=%d gomaxprocs=%d go=%s commit=%s", h.CPU, h.NProc, h.GOMAXPROCS, h.Go, h.Commit)
 }
 
 func main() {
@@ -59,6 +121,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
+	sum.Host = currentHost()
 
 	if *compareFile != "" {
 		base, err := loadBaseline(*compareFile)
@@ -171,7 +234,7 @@ func loadBaseline(path string) (summary, error) {
 // zero-alloc benchmarks, and baseline benchmarks missing from the fresh run.
 // Fresh benchmarks absent from the baseline are reported but not gated, so
 // adding a benchmark does not require refreshing the baseline in the same
-// change.  A comparison table is written to w.
+// change.  The two hosts and a comparison table are written to w.
 func compare(w io.Writer, base, fresh summary, tolerance float64) []string {
 	type key struct{ pkg, name string }
 	freshBy := make(map[key]result, len(fresh.Benchmarks))
@@ -180,6 +243,7 @@ func compare(w io.Writer, base, fresh summary, tolerance float64) []string {
 	}
 
 	var failures []string
+	fmt.Fprintf(w, "baseline host: %s\nfresh host:    %s\n", base.Host, fresh.Host)
 	fmt.Fprintf(w, "%-55s %12s %12s %8s\n", "benchmark (vs baseline)", "base ns/op", "fresh ns/op", "delta")
 	for _, b := range base.Benchmarks {
 		f, ok := freshBy[key{b.Package, b.Name}]

@@ -26,6 +26,22 @@ func TestCompareWithinToleranceAndNewBenchPasses(t *testing.T) {
 	}
 }
 
+func TestCompareReportsBothHosts(t *testing.T) {
+	base := summary{Benchmarks: []result{bench("BenchmarkCacheAccessRun", 1000, 0)}}
+	fresh := summary{Host: currentHost(), Benchmarks: base.Benchmarks}
+	var out strings.Builder
+	compare(&out, base, fresh, 0.25)
+	if !strings.Contains(out.String(), "baseline host: not recorded") {
+		t.Errorf("a baseline without a host must say so:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "fresh host:    "+fresh.Host.String()) {
+		t.Errorf("fresh host missing:\n%s", out.String())
+	}
+	if fresh.Host.NProc < 1 || fresh.Host.GOMAXPROCS < 1 || fresh.Host.Go == "" || fresh.Host.CPU == "" || fresh.Host.Commit == "" {
+		t.Errorf("incomplete host metadata: %+v", fresh.Host)
+	}
+}
+
 func TestCompareFailsOnRegression(t *testing.T) {
 	base := summary{Benchmarks: []result{bench("BenchmarkCacheAccessRun", 1000, 0)}}
 	fresh := summary{Benchmarks: []result{bench("BenchmarkCacheAccessRun", 2000, 0)}}

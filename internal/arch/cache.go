@@ -12,11 +12,13 @@
 // hard-coded.
 //
 // The cache engine is the innermost loop of every simulated experiment, so
-// it is organised for speed: each cache keeps its lines in one contiguous
-// slab indexed by set*ways+way, tag/valid/dirty are packed into a single
-// word, the hierarchy is walked iteratively over a fixed level array rather
-// than by recursion, and the batched AccessRun entry point probes a
-// sequential run once per cache line instead of once per word.
+// it is organised for speed: each cache keeps one slab in which every set is
+// a block of its tag words (tag/valid/dirty packed into a single word)
+// followed by its LRU ticks, so the hit scan reads only tags and the victim
+// scan only ticks.  The hierarchy is walked iteratively over a fixed level array
+// rather than by recursion.  AccessRun probes a sequential run once per
+// cache line instead of once per word; AccessLine probes a single line and
+// returns just the level that hit.
 package arch
 
 import "fmt"
@@ -60,20 +62,13 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
-// maxLevels is the deepest hierarchy a single Access walks (L1 → L2 → L3 →
+// maxLevels is the deepest hierarchy a single probe walks (L1 → L2 → L3 →
 // one spare).  Chains are fixed at construction, so the walk happens over a
 // fixed-size array with no pointer chasing beyond the per-level cache.
 const maxLevels = 4
 
-// cacheLine is one way of one set.  tagState packs the line address tag with
-// the valid and dirty bits into a single word so a lookup compares one
-// machine word; lru holds the owning cache's tick at last use (larger = more
-// recently used).
-type cacheLine struct {
-	tagState uint64
-	lru      uint64
-}
-
+// A tag word packs a line's address tag with its valid and dirty bits, so a
+// lookup compares one machine word.
 const (
 	lineValid    = 1 << 0
 	lineDirty    = 1 << 1
@@ -87,15 +82,29 @@ type Cache struct {
 	cfg  CacheConfig
 	next *Cache // next level, nil for last level before memory
 
-	// lines is the flat slab of all ways of all sets, indexed set*ways+way.
-	lines []cacheLine
-	ways  int
+	// slab holds every set as one block of 2*ways words: the set's tag
+	// words, then its ticks (the cache's tick at each way's last use;
+	// larger = more recently used).  Tags sit together, so the hit scan
+	// reads no ticks; a set's halves share one block, so a set touches the
+	// same host pages as with 16-byte ways, and a sparsely used slab stays
+	// as small in RSS.  A way is invalid exactly when its tick is 0 — every
+	// probe advances tick before stamping a way — so the victim scan reads
+	// ticks alone: the first way with the smallest tick is the first
+	// invalid way if there is one, else the least recently used.  LoadState
+	// enforces the invariant.
+	slab []uint64
+	ways int
 
 	// levels is this cache followed by the levels below it, fixed when the
-	// cache is built; Access and AccessRun iterate over it instead of
-	// recursing through next pointers.
+	// cache is built; AccessLine iterates over it instead of recursing
+	// through next pointers.
 	levels [maxLevels]*Cache
 	depth  int
+	// latency[i] is the summed hit latency of levels[0..i], the cost of a
+	// probe that stops at level i+1; memLine is the line size of the last
+	// level, the bytes one miss of every level moves from memory.
+	latency [maxLevels]uint64
+	memLine uint64
 
 	hits   uint64
 	misses uint64
@@ -120,10 +129,10 @@ func NewCache(cfg CacheConfig, next *Cache) *Cache {
 	}
 	sets := cfg.Sets()
 	c := &Cache{
-		cfg:   cfg,
-		next:  next,
-		lines: make([]cacheLine, sets*cfg.Associativity),
-		ways:  cfg.Associativity,
+		cfg:  cfg,
+		next: next,
+		slab: make([]uint64, 2*sets*cfg.Associativity),
+		ways: cfg.Associativity,
 	}
 	c.lineBits = uint(bitsFor(cfg.LineBytes))
 	c.lineMask = uint64(cfg.LineBytes - 1)
@@ -137,6 +146,12 @@ func NewCache(cfg CacheConfig, next *Cache) *Cache {
 		c.levels[c.depth] = lvl
 		c.depth++
 	}
+	var sum uint64
+	for i := 0; i < c.depth; i++ {
+		sum += uint64(c.levels[i].cfg.LatencyCycles)
+		c.latency[i] = sum
+	}
+	c.memLine = uint64(c.levels[c.depth-1].cfg.LineBytes)
 	return c
 }
 
@@ -169,79 +184,76 @@ func (c *Cache) HitRatio() float64 {
 	return float64(c.hits) / float64(total)
 }
 
+// lines returns the number of ways of all sets.
+func (c *Cache) lines() int { return len(c.slab) / 2 }
+
+// way returns the tag word and the tick of way index i, numbered
+// set*ways+way as AppendState encodes it.
+func (c *Cache) way(i int) (tag, tick *uint64) {
+	p := i/c.ways*2*c.ways + i%c.ways
+	return &c.slab[p], &c.slab[p+c.ways]
+}
+
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	clear(c.lines)
+	clear(c.slab)
 	c.hits, c.misses, c.tick = 0, 0, 0
 }
 
 // probe looks addr's line up in this single level, updating LRU state and
 // hit/miss statistics, and refilling the LRU victim on a miss.  It reports
-// whether the access hit.
+// whether the access hit.  The hit scan reads only the set's tag words and
+// exits at the first match; only a miss scans the set's ticks for the
+// victim.
 func (c *Cache) probe(addr uint64, write bool) bool {
 	tag := addr >> c.lineBits
-	base := int(tag&c.setMask) * c.ways
-	lines := c.lines[base : base+c.ways]
+	base := int(tag&c.setMask) * 2 * c.ways
+	set := c.slab[base : base+2*c.ways]
+	tags, lru := set[:c.ways], set[c.ways:]
 	c.tick++
 	want := tag<<lineTagShift | lineValid
-	for i := range lines {
-		if lines[i].tagState&^uint64(lineDirty) == want {
+	for i, t := range tags {
+		if t&^lineDirty == want {
 			c.hits++
-			lines[i].lru = c.tick
+			lru[i] = c.tick
 			if write {
-				lines[i].tagState |= lineDirty
+				tags[i] = t | lineDirty
 			}
 			return true
 		}
 	}
 
-	// Miss: choose the LRU victim (preferring invalid ways) and refill.
+	// Miss: the first way with the smallest tick is the victim — the first
+	// invalid way if any, else the LRU one.  The scan has no early exit, so
+	// the minimum compiles to conditional moves instead of branches that
+	// mispredict on unordered ticks.
 	c.misses++
-	victim := 0
-	for i := range lines {
-		if lines[i].tagState&lineValid == 0 {
-			victim = i
-			break
-		}
-		if lines[i].lru < lines[victim].lru {
-			victim = i
+	victim, oldest := 0, lru[0]
+	for i, t := range lru {
+		if t < oldest {
+			victim, oldest = i, t
 		}
 	}
 	if write {
 		want |= lineDirty
 	}
-	lines[victim] = cacheLine{tagState: want, lru: c.tick}
+	tags[victim] = want
+	lru[victim] = c.tick
 	return false
 }
 
-// AccessResult describes the outcome of a cache access as it propagated
-// through the hierarchy.
-type AccessResult struct {
-	// HitLevel is 1-based index of the level that hit (1 = this cache);
-	// 0 means the access missed every level and went to memory.
-	HitLevel int
-	// Latency is the total modelled latency in cycles, excluding memory.
-	Latency int
-	// MemoryBytes is the number of bytes transferred from/to memory
-	// (one line per last-level miss).
-	MemoryBytes int
-}
-
-// Access simulates an access to addr.  write marks stores (used for
-// write-allocate accounting).  The access is forwarded down the hierarchy on
-// a miss and the aggregated result is returned.
-func (c *Cache) Access(addr uint64, write bool) AccessResult {
-	var res AccessResult
+// AccessLine probes the hierarchy once for the line holding addr and
+// returns the 1-based level that hit (1 = this cache), or 0 when every
+// level missed and the line came from memory.  It is the single-line form
+// of AccessRun — AccessRun(addr, 1, write) performs the same probe — for
+// callers that sample one line at a time and need no aggregate.
+func (c *Cache) AccessLine(addr uint64, write bool) int {
 	for i := 0; i < c.depth; i++ {
-		lvl := c.levels[i]
-		res.Latency += lvl.cfg.LatencyCycles
-		if lvl.probe(addr, write) {
-			res.HitLevel = i + 1
-			return res
+		if c.levels[i].probe(addr, write) {
+			return i + 1
 		}
 	}
-	res.MemoryBytes = c.levels[c.depth-1].cfg.LineBytes
-	return res
+	return 0
 }
 
 // RunResult aggregates the outcome of a batched, line-granular run of
@@ -278,9 +290,9 @@ func (r *RunResult) Add(o RunResult) {
 // AccessRun simulates a sequential run of bytes bytes starting at addr by
 // probing the hierarchy once per cache line the run touches, and returns the
 // aggregated per-level outcome.  It is equivalent — in per-level line
-// hit/miss counts and in replacement decisions — to issuing one Access per
-// touched line, but an order of magnitude cheaper than the per-word driving
-// style because intra-line accesses never reach the model.
+// hit/miss counts and in replacement decisions — to issuing one AccessLine
+// per touched line, and an order of magnitude cheaper than probing once per
+// word because intra-line accesses never reach the model.
 func (c *Cache) AccessRun(addr, bytes uint64, write bool) RunResult {
 	var rr RunResult
 	if bytes == 0 {
@@ -289,28 +301,20 @@ func (c *Cache) AccessRun(addr, bytes uint64, write bool) RunResult {
 	lineBytes := uint64(c.cfg.LineBytes)
 	last := (addr + bytes - 1) &^ c.lineMask
 	for a := addr &^ c.lineMask; ; a += lineBytes {
-		c.accessLine(a, write, &rr)
+		rr.LineAccesses++
+		if lvl := c.AccessLine(a, write); lvl > 0 {
+			rr.LevelHits[lvl-1]++
+			rr.LatencyCycles += c.latency[lvl-1]
+		} else {
+			rr.MemAccesses++
+			rr.LatencyCycles += c.latency[c.depth-1]
+			rr.MemoryBytes += c.memLine
+		}
 		if a == last {
 			break
 		}
 	}
 	return rr
-}
-
-// accessLine pushes one line probe through the level array, accumulating
-// into rr.
-func (c *Cache) accessLine(addr uint64, write bool, rr *RunResult) {
-	rr.LineAccesses++
-	for i := 0; i < c.depth; i++ {
-		lvl := c.levels[i]
-		rr.LatencyCycles += uint64(lvl.cfg.LatencyCycles)
-		if lvl.probe(addr, write) {
-			rr.LevelHits[i]++
-			return
-		}
-	}
-	rr.MemAccesses++
-	rr.MemoryBytes += uint64(c.levels[c.depth-1].cfg.LineBytes)
 }
 
 // Hierarchy bundles the per-core caches plus the shared last level cache of

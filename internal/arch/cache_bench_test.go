@@ -12,9 +12,9 @@ func benchHierarchy() *Cache {
 
 // The two benchmarks drive the hierarchy with the same trace — repeated
 // sequential 4 KB runs through a 1 MB window (an L2-straining working set) —
-// once word-by-word through Access and once line-granular through AccessRun,
-// so ns/op directly compares the per-word and batched driving styles on
-// identical work.
+// once word-by-word through AccessLine and once line-granular through
+// AccessRun, so ns/op directly compares the per-word and batched driving
+// styles on identical work.
 const (
 	benchRunBytes    = 4096
 	benchWindowBytes = 1 << 20
@@ -26,7 +26,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for off := uint64(0); off < benchRunBytes; off += 8 {
-			c.Access(addr+off, false)
+			c.AccessLine(addr+off, false)
 		}
 		addr = (addr + benchRunBytes) % benchWindowBytes
 	}

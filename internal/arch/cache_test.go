@@ -38,14 +38,14 @@ func TestCacheConfigValidate(t *testing.T) {
 
 func TestCacheHitAfterMiss(t *testing.T) {
 	c := NewCache(smallCacheConfig(), nil)
-	res := c.Access(0x1000, false)
+	res := access(c, 0x1000, false)
 	if res.HitLevel != 0 {
 		t.Fatalf("first access should miss, got hit level %d", res.HitLevel)
 	}
 	if res.MemoryBytes != 64 {
 		t.Fatalf("last-level miss should fetch one line (64B), got %d", res.MemoryBytes)
 	}
-	res = c.Access(0x1000, false)
+	res = access(c, 0x1000, false)
 	if res.HitLevel != 1 {
 		t.Fatalf("second access to same line should hit, got level %d", res.HitLevel)
 	}
@@ -53,7 +53,7 @@ func TestCacheHitAfterMiss(t *testing.T) {
 		t.Fatalf("hit should not touch memory, got %d bytes", res.MemoryBytes)
 	}
 	// Same line, different offset within the 64-byte line.
-	res = c.Access(0x1030, false)
+	res = access(c, 0x1030, false)
 	if res.HitLevel != 1 {
 		t.Fatalf("access within same line should hit, got level %d", res.HitLevel)
 	}
@@ -74,14 +74,14 @@ func TestCacheLRUEviction(t *testing.T) {
 	b := sets * lineSize
 	d := 2 * sets * lineSize
 
-	c.Access(a, false) // miss
-	c.Access(b, false) // miss
-	c.Access(a, false) // hit, refreshes a
-	c.Access(d, false) // miss, evicts b (LRU)
-	if res := c.Access(a, false); res.HitLevel != 1 {
+	access(c, a, false) // miss
+	access(c, b, false) // miss
+	access(c, a, false) // hit, refreshes a
+	access(c, d, false) // miss, evicts b (LRU)
+	if res := access(c, a, false); res.HitLevel != 1 {
 		t.Fatal("a should still be cached")
 	}
-	if res := c.Access(b, false); res.HitLevel != 0 {
+	if res := access(c, b, false); res.HitLevel != 0 {
 		t.Fatal("b should have been evicted")
 	}
 }
@@ -90,7 +90,7 @@ func TestCacheHierarchyForwarding(t *testing.T) {
 	l2 := NewCache(CacheConfig{Name: "L2", SizeBytes: 4096, LineBytes: 64, Associativity: 4, LatencyCycles: 10}, nil)
 	l1 := NewCache(smallCacheConfig(), l2)
 
-	res := l1.Access(0x40, false)
+	res := access(l1, 0x40, false)
 	if res.HitLevel != 0 {
 		t.Fatalf("cold access should miss all levels, got %d", res.HitLevel)
 	}
@@ -101,9 +101,9 @@ func TestCacheHierarchyForwarding(t *testing.T) {
 	// original should hit in L2 (level 2).
 	sets := uint64(l1.Config().Sets())
 	line := uint64(64)
-	l1.Access(0x40+sets*line, false)
-	l1.Access(0x40+2*sets*line, false)
-	res = l1.Access(0x40, false)
+	access(l1, 0x40+sets*line, false)
+	access(l1, 0x40+2*sets*line, false)
+	res = access(l1, 0x40, false)
 	if res.HitLevel != 2 {
 		t.Fatalf("expected L2 hit (level 2), got %d", res.HitLevel)
 	}
@@ -114,8 +114,8 @@ func TestCacheHitRatioAndReset(t *testing.T) {
 	if c.HitRatio() != 1 {
 		t.Fatal("untouched cache should report hit ratio 1")
 	}
-	c.Access(0, false)
-	c.Access(0, false)
+	access(c, 0, false)
+	access(c, 0, false)
 	if got := c.HitRatio(); got != 0.5 {
 		t.Fatalf("HitRatio = %g, want 0.5", got)
 	}
@@ -123,7 +123,7 @@ func TestCacheHitRatioAndReset(t *testing.T) {
 	if c.Accesses() != 0 || c.HitRatio() != 1 {
 		t.Fatal("Reset should clear statistics")
 	}
-	if res := c.Access(0, false); res.HitLevel != 0 {
+	if res := access(c, 0, false); res.HitLevel != 0 {
 		t.Fatal("Reset should clear contents too")
 	}
 }
@@ -134,7 +134,7 @@ func TestCacheAccountingProperty(t *testing.T) {
 	f := func(addrs []uint16) bool {
 		c := NewCache(smallCacheConfig(), nil)
 		for _, a := range addrs {
-			c.Access(uint64(a), a%3 == 0)
+			access(c, uint64(a), a%3 == 0)
 		}
 		if c.Hits()+c.Misses() != uint64(len(addrs)) {
 			return false
@@ -157,7 +157,7 @@ func TestCacheSmallWorkingSetProperty(t *testing.T) {
 		base := uint64(seed) * 64
 		for pass := 0; pass < 3; pass++ {
 			for i := uint64(0); i < 16; i++ {
-				c.Access(base+i*64, false)
+				access(c, base+i*64, false)
 			}
 		}
 		// After the first pass the remaining 32 accesses must all hit.
@@ -174,7 +174,7 @@ func TestStreamingAccessMissesEveryLine(t *testing.T) {
 	// within a line hit.
 	var misses int
 	for addr := uint64(0); addr < 1<<20; addr += 8 {
-		res := c.Access(addr, false)
+		res := access(c, addr, false)
 		if res.HitLevel == 0 {
 			misses++
 		}

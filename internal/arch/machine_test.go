@@ -116,7 +116,7 @@ func TestMustNewMachinePanicsOnInvalid(t *testing.T) {
 func TestMachineReset(t *testing.T) {
 	m := MustNewMachine(Westmere())
 	core := m.Core(0)
-	core.Caches.L1D.Access(0x100, false)
+	access(core.Caches.L1D, 0x100, false)
 	core.Branch.Record(1, true)
 	m.Reset()
 	if core.Caches.L1D.Accesses() != 0 {
@@ -139,8 +139,8 @@ func TestHierarchySharesL2BetweenL1s(t *testing.T) {
 	}
 	// An instruction fetch miss and a data miss to the same line should both
 	// land in the same L2.
-	h.L1I.Access(0x2000, false)
-	h.L1D.Access(0x2000, false)
+	access(h.L1I, 0x2000, false)
+	access(h.L1D, 0x2000, false)
 	if h.L2.Accesses() != 2 {
 		t.Fatalf("L2 should see both L1 misses, saw %d accesses", h.L2.Accesses())
 	}

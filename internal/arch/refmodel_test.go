@@ -2,6 +2,7 @@ package arch
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -104,19 +105,42 @@ func (c *refCache) state() [][]uint64 {
 
 // state is the flat engine's counterpart of refCache.state.
 func (c *Cache) state() [][]uint64 {
-	sets := len(c.lines) / c.ways
+	sets := c.lines() / c.ways
 	out := make([][]uint64, sets)
 	for s := 0; s < sets; s++ {
-		for _, l := range c.lines[s*c.ways : (s+1)*c.ways] {
-			if l.tagState&lineValid != 0 {
-				v := (l.tagState >> lineTagShift) << 1
-				if l.tagState&lineDirty != 0 {
+		for w := 0; w < c.ways; w++ {
+			tag, _ := c.way(s*c.ways + w)
+			t := *tag
+			if t&lineValid != 0 {
+				v := (t >> lineTagShift) << 1
+				if t&lineDirty != 0 {
 					v |= 1
 				}
 				out[s] = append(out[s], v)
 			}
 		}
 		sort.Slice(out[s], func(i, j int) bool { return out[s][i] < out[s][j] })
+	}
+	return out
+}
+
+// slots returns every way of every set in slot order, as the reference
+// model's line type: the exact layout AppendState encodes.
+func (c *refCache) slots() []refLine {
+	var out []refLine
+	for _, set := range c.sets {
+		out = append(out, set...)
+	}
+	return out
+}
+
+// slots is the flat engine's counterpart of refCache.slots.
+func (c *Cache) slots() []refLine {
+	out := make([]refLine, c.lines())
+	for i := range out {
+		tag, tick := c.way(i)
+		t := *tag
+		out[i] = refLine{tag: t >> lineTagShift, valid: t&lineValid != 0, dirty: t&lineDirty != 0, lru: *tick}
 	}
 	return out
 }
@@ -160,6 +184,11 @@ func compareChains(t *testing.T, label string, flat *Cache, ref *refCache) {
 		if !equalState(flat.state(), ref.state()) {
 			t.Fatalf("%s level %d: resident line state diverged (victim choices differ)", label, lvl+1)
 		}
+		// The same lines in the same ways with the same ticks: victims are
+		// chosen by the same rule, not just equivalent ones.
+		if !slices.Equal(flat.slots(), ref.slots()) {
+			t.Fatalf("%s level %d: way layout or LRU ticks diverged", label, lvl+1)
+		}
 		flat, ref = flat.next, ref.next
 	}
 }
@@ -192,7 +221,7 @@ func TestFlatEngineMatchesReferenceOnWordTraces(t *testing.T) {
 					addr = uint64(rng.Intn(64 * 1024 * 1024)) // far random
 				}
 				write := rng.Intn(4) == 0
-				got := flat.Access(addr, write)
+				got := access(flat, addr, write)
 				want := ref.access(addr, write, 1)
 				if got != want {
 					t.Fatalf("access %d addr %#x write=%v: flat %+v, reference %+v", i, addr, write, got, want)
@@ -203,8 +232,100 @@ func TestFlatEngineMatchesReferenceOnWordTraces(t *testing.T) {
 	}
 }
 
-// Property: AccessRun is equivalent to issuing one per-line Access for every
-// line the run touches — identical per-level line hit/miss counts, latency,
+// Property: on a fetch-shaped trace — sequential line steps with frequent
+// random jumps through a 64 KiB code footprint, twice the L1I, so most
+// probes miss L1I and hit L2 — single-line AccessLine probes of the L1I chain
+// agree with the reference model probe by probe, and both chains end with
+// identical counts and resident lines.  This exercises the miss path (victim
+// scan) the data-shaped traces above mostly skip, on both the 4-way
+// (Westmere) and 8-way (Haswell) L1I.
+func TestFlatEngineMatchesReferenceOnFetchTraces(t *testing.T) {
+	const footprint = 64 * 1024
+	for name, p := range traceProfiles() {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			flat := NewCache(p.L1I, NewCache(p.L2, NewCache(p.L3, nil)))
+			ref := newRefCache(p.L1I, newRefCache(p.L2, newRefCache(p.L3, nil)))
+			const base = 1 << 30
+			pc := uint64(0)
+			for i := 0; i < 60000; i++ {
+				if rng.Intn(4) == 0 {
+					pc = uint64(rng.Intn(footprint))
+				} else {
+					pc = (pc + 64) % footprint
+				}
+				got := flat.AccessLine(base+pc, false)
+				if want := ref.access(base+pc, false, 1).HitLevel; got != want {
+					t.Fatalf("fetch %d pc %#x: flat level %d, reference %d", i, pc, got, want)
+				}
+			}
+			if flat.Misses() < flat.Hits() {
+				t.Fatalf("trace is not miss-heavy: L1I %d hits, %d misses", flat.Hits(), flat.Misses())
+			}
+			compareChains(t, name, flat, ref)
+		})
+	}
+}
+
+// Property: AccessLine is the single-line form of AccessRun — on twin
+// hierarchies, AccessLine(addr, w) reports the level AccessRun(addr, 1, w)
+// counts, and both leave identical state — for every outcome: a hit at
+// each level and a miss to memory, for reads and writes alike.
+func TestAccessLineMatchesOneLineAccessRun(t *testing.T) {
+	for name, p := range traceProfiles() {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			line, _ := refHierarchy(p)
+			run, _ := refHierarchy(p)
+			var seen [maxLevels][2]int // [level][write]
+			for i := 0; i < 40000; i++ {
+				// Working sets sized to each level, so every outcome occurs.
+				var addr uint64
+				switch rng.Intn(4) {
+				case 0:
+					addr = uint64(rng.Intn(16 * 1024))
+				case 1:
+					addr = uint64(rng.Intn(192 * 1024))
+				case 2:
+					addr = uint64(rng.Intn(8 * 1024 * 1024))
+				default:
+					addr = uint64(rng.Intn(1 << 30))
+				}
+				write := rng.Intn(3) == 0
+				res := access(line, addr, write) // AccessLine plus configured latencies
+				rr := run.AccessRun(addr, 1, write)
+
+				want := RunResult{LineAccesses: 1, LatencyCycles: uint64(res.Latency), MemoryBytes: uint64(res.MemoryBytes)}
+				if level := res.HitLevel; level > 0 {
+					want.LevelHits[level-1] = 1
+				} else {
+					want.MemAccesses = 1
+				}
+				if rr != want {
+					t.Fatalf("probe %d addr %#x write=%v: AccessLine %+v, AccessRun %+v", i, addr, write, res, rr)
+				}
+				w := 0
+				if write {
+					w = 1
+				}
+				seen[res.HitLevel][w]++
+			}
+			for level := 0; level <= line.depth; level++ {
+				if seen[level][0] == 0 || seen[level][1] == 0 {
+					t.Fatalf("level %d not covered for both reads and writes: %v", level, seen)
+				}
+			}
+			for l, r := line, run; l != nil; l, r = l.next, r.next {
+				if l.Hits() != r.Hits() || l.Misses() != r.Misses() || !equalState(l.state(), r.state()) {
+					t.Fatalf("%s: AccessLine and AccessRun state diverged at %s", name, l.Config().Name)
+				}
+			}
+		})
+	}
+}
+
+// Property: AccessRun is equivalent to issuing one reference-model access for
+// every line the run touches — identical per-level line hit/miss counts, latency,
 // memory traffic and replacement state — on randomized run traces.
 func TestAccessRunMatchesPerLineAccesses(t *testing.T) {
 	for name, p := range traceProfiles() {
@@ -262,7 +383,7 @@ func TestBatchedAndPerWordReplacementEquivalence(t *testing.T) {
 				write := rng.Intn(5) == 0
 				batched.AccessRun(addr, bytes, write)
 				for off := uint64(0); off < bytes; off += 8 {
-					perWord.Access(addr+off, write)
+					access(perWord, addr+off, write)
 				}
 			}
 			for b, w := batched, perWord; b != nil; b, w = b.next, w.next {

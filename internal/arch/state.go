@@ -14,11 +14,11 @@ import (
 // validates the stream against that geometry so state from a differently
 // configured model is rejected instead of silently misapplied.
 //
-// Cache line slabs are encoded sparsely (index + packed line word + LRU
-// tick for every non-empty line) because checkpoints are taken after
-// bounded traces: the touched working set is tiny compared to, say, a 12 MB
-// last-level cache slab, and empty lines are exactly the zero value that
-// LoadState starts from.
+// Cache slabs are encoded sparsely (index + tag word + LRU tick for every
+// non-empty way) because checkpoints are taken after bounded traces: the
+// touched working set is tiny compared to, say, a 12 MB last-level cache
+// slab, and empty ways are exactly the zero value that LoadState starts
+// from.
 
 // AppendState appends the cache's mutable state — hit/miss/tick statistics
 // and every non-empty line of the slab — to dst and returns the extended
@@ -28,31 +28,33 @@ func (c *Cache) AppendState(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, c.hits)
 	dst = binary.LittleEndian.AppendUint64(dst, c.misses)
 	dst = binary.LittleEndian.AppendUint64(dst, c.tick)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(c.lines)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.lines()))
 	occupied := uint64(0)
-	for i := range c.lines {
-		if c.lines[i] != (cacheLine{}) {
+	for i := 0; i < c.lines(); i++ {
+		if tag, tick := c.way(i); *tag|*tick != 0 {
 			occupied++
 		}
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, occupied)
-	for i := range c.lines {
-		ln := c.lines[i]
-		if ln == (cacheLine{}) {
+	for i := 0; i < c.lines(); i++ {
+		tag, tick := c.way(i)
+		if *tag|*tick == 0 {
 			continue
 		}
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(i))
-		dst = binary.LittleEndian.AppendUint64(dst, ln.tagState)
-		dst = binary.LittleEndian.AppendUint64(dst, ln.lru)
+		dst = binary.LittleEndian.AppendUint64(dst, *tag)
+		dst = binary.LittleEndian.AppendUint64(dst, *tick)
 	}
 	return dst
 }
 
 // LoadState restores state previously produced by AppendState from the
 // front of src and returns the unconsumed remainder.  The stream's slab
-// geometry must match this cache's configuration; on any mismatch or
-// truncation an error is returned and the cache is reset to its
-// construction state (never left half-loaded).
+// geometry must match this cache's configuration, and every line must keep
+// the invariant the victim scan relies on: a valid way has a tick in
+// [1, tick], an invalid way has a zero tag word and tick.  On any mismatch,
+// broken invariant or truncation an error is returned and the cache is
+// reset to its construction state (never left half-loaded).
 func (c *Cache) LoadState(src []byte) ([]byte, error) {
 	r := stateReader{buf: src}
 	hits := r.u64()
@@ -60,8 +62,8 @@ func (c *Cache) LoadState(src []byte) ([]byte, error) {
 	tick := r.u64()
 	nLines := r.u64()
 	occupied := r.u64()
-	if r.err == nil && nLines != uint64(len(c.lines)) {
-		r.err = fmt.Errorf("arch: cache %s state carries %d lines, this cache has %d", c.cfg.Name, nLines, len(c.lines))
+	if r.err == nil && nLines != uint64(c.lines()) {
+		r.err = fmt.Errorf("arch: cache %s state carries %d lines, this cache has %d", c.cfg.Name, nLines, c.lines())
 	}
 	if r.err == nil && occupied > nLines {
 		r.err = fmt.Errorf("arch: cache %s state claims %d occupied of %d lines", c.cfg.Name, occupied, nLines)
@@ -80,14 +82,27 @@ func (c *Cache) LoadState(src []byte) ([]byte, error) {
 		if r.err == nil && (idx >= nLines || int(idx) <= prev) {
 			r.err = fmt.Errorf("arch: cache %s state has out-of-order line index %d", c.cfg.Name, idx)
 		}
+		if r.err == nil && !validTick(tagState, lru, tick) {
+			r.err = fmt.Errorf("arch: cache %s state line %d has tag word %#x with tick %d (cache tick %d)", c.cfg.Name, idx, tagState, lru, tick)
+		}
 		if r.err != nil {
 			c.Reset()
 			return nil, r.err
 		}
-		c.lines[idx] = cacheLine{tagState: tagState, lru: lru}
+		tag, tick := c.way(int(idx))
+		*tag, *tick = tagState, lru
 		prev = int(idx)
 	}
 	return r.buf, nil
+}
+
+// validTick reports whether a way's tag word and tick keep the tick-0 ⇔
+// invalid invariant under a cache clock at tick.
+func validTick(tagState, lru, tick uint64) bool {
+	if tagState&lineValid == 0 {
+		return tagState == 0 && lru == 0
+	}
+	return lru >= 1 && lru <= tick
 }
 
 // AppendState appends the predictor's mutable state — global history,

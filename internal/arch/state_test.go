@@ -2,6 +2,7 @@ package arch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 )
@@ -14,8 +15,8 @@ func dirtyMachine(m *Machine) {
 		core := m.Core(ci)
 		for i := uint64(0); i < 300; i++ {
 			addr := i*97 + uint64(ci)*131071
-			core.Caches.L1D.Access(addr*64, i%3 == 0)
-			core.Caches.L1I.Access(addr*64+7, false)
+			access(core.Caches.L1D, addr*64, i%3 == 0)
+			access(core.Caches.L1I, addr*64+7, false)
 			core.Branch.Record(addr, i%5 != 0)
 		}
 	}
@@ -35,7 +36,7 @@ func TestMachineStateRoundTrip(t *testing.T) {
 			dst := MustNewMachine(p)
 			// Pre-dirty differently: the load must fully overwrite.
 			for i := uint64(0); i < 50; i++ {
-				dst.Core(0).Caches.L1D.Access(i*4096, true)
+				access(dst.Core(0).Caches.L1D, i*4096, true)
 			}
 			rest, err := dst.LoadState(state)
 			if err != nil {
@@ -81,8 +82,8 @@ func TestMachineLoadRejectsMismatchedGeometry(t *testing.T) {
 
 func TestCacheLoadRejectsCorruptLineIndexes(t *testing.T) {
 	c := NewCache(CacheConfig{Name: "L1D", SizeBytes: 4096, LineBytes: 64, Associativity: 2, LatencyCycles: 1}, nil)
-	c.Access(0, true)
-	c.Access(64, false)
+	access(c, 0, true)
+	access(c, 64, false)
 	state := c.AppendState(nil)
 
 	// Flip the second sparse entry's index to repeat the first: indexes
@@ -101,6 +102,42 @@ func TestCacheLoadRejectsCorruptLineIndexes(t *testing.T) {
 	}
 	if rt.Hits() != c.Hits() || rt.Misses() != c.Misses() {
 		t.Fatalf("stats diverged: %d/%d vs %d/%d", rt.Hits(), rt.Misses(), c.Hits(), c.Misses())
+	}
+}
+
+// The victim scan relies on tick 0 ⇔ invalid way, so a stream that breaks
+// it must be rejected like a bad index: error, and the cache reset.
+func TestCacheLoadRejectsBrokenTickInvariant(t *testing.T) {
+	c := NewCache(CacheConfig{Name: "L1D", SizeBytes: 4096, LineBytes: 64, Associativity: 2, LatencyCycles: 1}, nil)
+	access(c, 0, true)
+	access(c, 64, false)
+	state := c.AppendState(nil)
+
+	// Header words, then sparse (index, tag word, tick) entries.
+	const firstTag, firstTick = 5*8 + 8, 5*8 + 16
+	set := func(off int, v uint64) []byte {
+		bad := append([]byte(nil), state...)
+		binary.LittleEndian.PutUint64(bad[off:], v)
+		return bad
+	}
+	for name, bad := range map[string][]byte{
+		"valid way with tick 0":         set(firstTick, 0),
+		"tick above the cache tick":     set(firstTick, c.tick+1),
+		"invalid way with a tag":        set(firstTag, 1<<lineTagShift),
+		"invalid way with a tick":       set(firstTag, 0),
+		"invalid way with a dirty flag": set(firstTag, lineDirty),
+	} {
+		target := NewCache(c.Config(), nil)
+		access(target, 4096, true)
+		if _, err := target.LoadState(bad); err == nil {
+			t.Errorf("%s: load must fail", name)
+		}
+		if !bytes.Equal(target.AppendState(nil), NewCache(c.Config(), nil).AppendState(nil)) {
+			t.Errorf("%s: cache left dirty after failed load", name)
+		}
+	}
+	if _, err := NewCache(c.Config(), nil).LoadState(state); err != nil {
+		t.Fatalf("intact state rejected: %v", err)
 	}
 }
 

@@ -45,9 +45,9 @@ type ClusterConfig struct {
 
 	// MaxModelOpsPerCall caps the number of cache *lines* probed through the
 	// hierarchy for one bulk Load/Store call.  The engine simulates runs at
-	// line granularity (arch.Cache.AccessRun): a capped call spreads its
-	// modelled lines evenly across the run and the remainder of the call is
-	// extrapolated at Finish.  Intra-line word accesses are never probed —
+	// line granularity (arch.Cache.AccessRun): a capped call instead probes
+	// `cap` lines spread evenly across the run, one arch.Cache.AccessLine
+	// each, and the remainder of the call is extrapolated at Finish.  Intra-line word accesses are never probed —
 	// they are L1 hits by construction and are accounted arithmetically —
 	// so one unit of this budget covers a full line's worth of words.
 	// Zero selects the default.

@@ -30,6 +30,9 @@ type Exec struct {
 	// differ.
 	data  sampleStats
 	instr sampleStats
+	// memLine is the bytes one probe that misses every cache level moves
+	// from memory: the line size of the hierarchy's last level.
+	memLine uint64
 
 	sampledBranches   uint64
 	sampledBranchMiss uint64
@@ -83,6 +86,33 @@ func (s *sampleStats) recordRun(rr arch.RunResult, ops uint64, write bool) {
 	}
 }
 
+// recordLine folds one single-line probe into the sample: level is the
+// 1-based cache level that hit (0 = memory, which moves memLine bytes) as
+// returned by arch.Cache.AccessLine, and ops ≥ 1 is the number of word
+// operations the probe stands for.  It equals recordRun of the one-line
+// run the same probe would have returned from AccessRun.
+func (s *sampleStats) recordLine(level int, ops, memLine uint64, write bool) {
+	s.accesses += ops
+	if level == 1 {
+		return
+	}
+	s.l1Miss++
+	s.l2Acc++
+	if level == 2 {
+		return
+	}
+	s.l2Miss++
+	s.l3Acc++
+	if level != 0 {
+		return
+	}
+	s.l3Miss++
+	s.memRead += memLine
+	if write {
+		s.memWrite += memLine
+	}
+}
+
 // DefaultCodeFootprintBytes is the synthetic code footprint of a
 // light-weight (POSIX-threads style) implementation.  Heavy software stacks
 // override it with SetCodeFootprint.
@@ -107,6 +137,7 @@ func newExec(n *Node, coreSlot int, scale float64) *Exec {
 		scale:         scale,
 		codeJumpPer1k: defaultJumps,
 		fetchInterval: uint64(opsPerFetch * cfg.EventSampleRate),
+		memLine:       uint64(cfg.Profile.L3.LineBytes),
 		rng:           uint64(coreSlot)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
 	}
 	e.codeRegion = n.Alloc(DefaultCodeFootprintBytes)
@@ -188,9 +219,8 @@ func (e *Exec) modelFetch(skip uint64) {
 	} else {
 		e.codePtr += 64 * skip
 	}
-	addr := e.codeRegion.Addr(e.codePtr)
-	rr := e.core.Caches.L1I.AccessRun(addr, 1, false)
-	e.instr.recordRun(rr, 1, false)
+	level := e.core.Caches.L1I.AccessLine(e.codeRegion.Addr(e.codePtr), false)
+	e.instr.recordLine(level, 1, e.memLine, false)
 }
 
 // Int records n integer ALU instructions.
@@ -275,14 +305,14 @@ func (e *Exec) access(r Region, off, size uint64, write bool) {
 	if lines == 0 {
 		lines = 1
 	}
-	var rr arch.RunResult
-	covered := ops
 	if r.size == 0 {
 		// A zero-size region pins every offset to its base, so the whole
 		// run is one line re-touched; probe it once and let extrapolation
 		// account for the rest.
-		rr = e.core.Caches.L1D.AccessRun(r.base, 1, write)
-	} else if limit := uint64(e.cfg.MaxModelOpsPerCall); lines > limit {
+		e.data.recordLine(e.core.Caches.L1D.AccessLine(r.base, write), ops, e.memLine, write)
+		return
+	}
+	if limit := uint64(e.cfg.MaxModelOpsPerCall); lines > limit {
 		// Capped call: model `limit` lines spread evenly across the run so
 		// capacity effects of large runs stay visible; the unmodelled
 		// remainder is extrapolated at Finish.  The cap counts lines, not
@@ -291,13 +321,28 @@ func (e *Exec) access(r Region, off, size uint64, write bool) {
 		// is not a multiple of the cap.
 		for i := uint64(0); i < limit; i++ {
 			line := i * lines / limit
-			rr.Add(e.core.Caches.L1D.AccessRun(r.Addr(off+line*lineBytes), 1, write))
+			level := e.core.Caches.L1D.AccessLine(r.Addr(off+line*lineBytes), write)
+			e.data.recordLine(level, 1, e.memLine, write)
 		}
-		covered = ops * limit / lines
-	} else if size <= r.size-off%r.size {
-		// Common case: the run is contiguous inside the region, one batched
-		// walk probes each touched line exactly once.
-		rr = e.core.Caches.L1D.AccessRun(r.Addr(off), size, write)
+		// The probes above stand for ops*limit/lines word ops in all; each
+		// recordLine counted one of them.
+		if covered := ops * limit / lines; covered > limit {
+			e.data.accesses += covered - limit
+		}
+		return
+	}
+	var rr arch.RunResult
+	covered := ops
+	if size <= r.size-off%r.size {
+		// Common case: the run is contiguous inside the region.  A run
+		// inside one line (Touch, short loads) is a single probe; a longer
+		// one is one batched walk probing each touched line exactly once.
+		addr := r.Addr(off)
+		if size > 0 && addr&(lineBytes-1)+size <= lineBytes {
+			e.data.recordLine(e.core.Caches.L1D.AccessLine(addr, write), ops, e.memLine, write)
+			return
+		}
+		rr = e.core.Caches.L1D.AccessRun(addr, size, write)
 	} else {
 		// The run wraps around the region; walk it in contiguous chunks the
 		// way the per-word engine's wrapping addresses did.  A sub-line

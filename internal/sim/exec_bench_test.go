@@ -17,7 +17,7 @@ func benchExec(b *testing.B) *Exec {
 }
 
 // accessPerWord replicates the pre-batching Exec.access hot path — one
-// hierarchy probe per machine word, capped at MaxModelOpsPerCall words with
+// AccessLine probe per machine word, capped at MaxModelOpsPerCall words with
 // a strided walk — so BenchmarkExecLoad can compare the retired per-word
 // driving style against the batched AccessRun path on the same trace.
 func (e *Exec) accessPerWord(r Region, off, size uint64, write bool) {
@@ -43,17 +43,8 @@ func (e *Exec) accessPerWord(r Region, off, size uint64, write bool) {
 	}
 	addr := off
 	for i := uint64(0); i < model; i++ {
-		res := e.core.Caches.L1D.Access(r.Addr(addr), write)
-		var rr arch.RunResult
-		rr.LineAccesses = 1
-		rr.LatencyCycles = uint64(res.Latency)
-		if res.HitLevel > 0 {
-			rr.LevelHits[res.HitLevel-1]++
-		} else {
-			rr.MemAccesses = 1
-			rr.MemoryBytes = uint64(res.MemoryBytes)
-		}
-		e.data.recordRun(rr, 1, write)
+		level := e.core.Caches.L1D.AccessLine(r.Addr(addr), write)
+		e.data.recordLine(level, 1, e.memLine, write)
 		addr += stride
 	}
 }
@@ -94,5 +85,25 @@ func BenchmarkExecLoad(b *testing.B) {
 		b.Run(trace.name+"/batched", func(b *testing.B) {
 			benchmarkExecLoadTrace(b, trace.regionBytes, batched)
 		})
+	}
+}
+
+// execBenchFetchInstrs is the instruction count of one Exec.Int call in
+// BenchmarkExecFetch: 4096 fetch intervals at the default sample rate, so
+// the call hits the MaxModelFetchesPerCall cap and each modelled fetch
+// stands for enough real ones to always jump.
+const execBenchFetchInstrs = 1 << 16
+
+// BenchmarkExecFetch drives the instruction-fetch model the way bulk
+// instruction counting does on a cold request: each op is one Exec.Int call
+// on a fresh Exec with the default 64 KiB code footprint, whose capped,
+// spread-out fetches jump at random through a footprint twice the L1I size,
+// so most single-line probes miss L1I.
+func BenchmarkExecFetch(b *testing.B) {
+	e := benchExec(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Int(execBenchFetchInstrs)
 	}
 }

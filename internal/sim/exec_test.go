@@ -250,3 +250,29 @@ func TestExecCountersConsistencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// recordLine is recordRun specialised to a one-line run: for a probe that
+// hit at each level (0 = memory), standing for one or several word ops, read
+// or write, both must leave identical samples.
+func TestRecordLineMatchesOneLineRecordRun(t *testing.T) {
+	const memLine = 64
+	for level := 0; level <= 3; level++ {
+		rr := arch.RunResult{LineAccesses: 1}
+		if level > 0 {
+			rr.LevelHits[level-1] = 1
+		} else {
+			rr.MemAccesses = 1
+			rr.MemoryBytes = memLine
+		}
+		for _, ops := range []uint64{1, 8} {
+			for _, write := range []bool{false, true} {
+				var line, run sampleStats
+				line.recordLine(level, ops, memLine, write)
+				run.recordRun(rr, ops, write)
+				if line != run {
+					t.Errorf("level %d ops %d write=%v: recordLine %+v, recordRun %+v", level, ops, write, line, run)
+				}
+			}
+		}
+	}
+}
