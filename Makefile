@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-full test-sim-short test-sim-nondeterminism test-sim-import-export test-sim-multi-seed test-fuzz fleet-e2e loadgen-soak bench bench-json bench-check cover lint lint-docs lint-links lint-settings fmt
+.PHONY: build test test-full golden golden-bless test-sim-short test-sim-nondeterminism test-sim-import-export test-sim-multi-seed test-fuzz fleet-e2e loadgen-soak bench bench-json bench-check cover lint lint-docs lint-links lint-settings fmt
 
 ## build: compile every package and command
 build:
@@ -13,6 +13,19 @@ test:
 ## test-full: the full paper-scale test suite (tier-1 gate)
 test-full:
 	$(GO) test -timeout 30m ./...
+
+## golden: the behaviour lock -- core.Run/core.RunBatch of every paper
+## proxy (both architecture profiles, six settings) and the down-scaled
+## workload models must render the committed testdata/golden bytes.  Runs
+## without -race: the core lock skips under the race detector, which slows
+## the simulation about tenfold
+golden:
+	$(GO) test -count=1 -run 'Golden' ./internal/core ./internal/workloads
+
+## golden-bless: rewrite the golden files from the current code.  A
+## re-bless changes the lock itself, so name each one in CHANGES.md
+golden-bless:
+	$(GO) test -count=1 -run 'Golden' ./internal/core ./internal/workloads -update
 
 ## test-sim-short: the PR-sized randomized campaign suite — short campaign
 ## configs on both architecture profiles: worker-count determinism,

@@ -26,13 +26,13 @@ func runOn(t *testing.T, spec Spec, cfg sim.ClusterConfig) sim.Report {
 
 // smallPaperWorkloads returns down-scaled versions of the five workloads so
 // unit tests stay fast; the full configurations are exercised by the
-// experiment harness and benchmarks.  In -short mode the AI workloads
+// experiment harness and benchmarks.  With reducedSampling the AI workloads
 // additionally reduce their host-side sampling (one image per sampled
 // AlexNet step, 1/8-resolution Inception).
-func smallPaperWorkloads() []Spec {
+func smallPaperWorkloads(reducedSampling bool) []Spec {
 	alex := AlexNetConfig{Steps: 400, BatchSize: 32}
 	incep := InceptionConfig{Steps: 100, BatchSize: 8}
-	if testing.Short() {
+	if reducedSampling {
 		alex.SampleBatch = 1
 		incep.SpatialScale = 8
 	}
@@ -84,7 +84,7 @@ func TestPaperWorkloadsSpecs(t *testing.T) {
 }
 
 func TestAllWorkloadsRunOnFiveNodeCluster(t *testing.T) {
-	for _, spec := range smallPaperWorkloads() {
+	for _, spec := range smallPaperWorkloads(testing.Short()) {
 		spec := spec
 		t.Run(spec.ShortName, func(t *testing.T) {
 			rep := runOn(t, spec, sim.FiveNodeWestmere())
