@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-full golden golden-bless test-sim-short test-sim-nondeterminism test-sim-import-export test-sim-multi-seed test-fuzz fleet-e2e loadgen-soak bench bench-json bench-check cover lint lint-docs lint-links lint-settings fmt
+.PHONY: build test test-full golden golden-bless test-sim-short test-sim-nondeterminism test-sim-import-export test-sim-multi-seed test-fuzz fleet-e2e loadgen-soak bench bench-json bench-check cover lint lint-docs lint-links lint-settings lint-deadcode fmt
 
 ## build: compile every package and command
 build:
@@ -164,6 +164,11 @@ lint-links:
 ## lint-settings: every core.Setting literal keys only core.ParameterNames
 lint-settings:
 	sh scripts/lint-settings.sh
+
+## lint-deadcode: report (never fail on) the functions in internal/ that no
+## command, example or fleetbench binary links -- code only tests reach
+lint-deadcode:
+	sh scripts/lint-deadcode.sh
 
 ## fmt: apply gofmt to the whole tree
 fmt:

@@ -17,6 +17,12 @@ import (
 	"dataproxy/pkg/client"
 )
 
+// MaxRequestBody bounds a /v1 request body on every serving surface (the
+// router and each replica read bodies through http.MaxBytesReader with it).
+// Real run/tune bodies are a few kilobytes, so the cap only stops hostile or
+// corrupt payloads; an over-cap body is a 400 bad_request.
+const MaxRequestBody = 8 << 20
+
 // WriteJSON writes v as indent-2 JSON with the given status.  All /v1
 // responses use it, which is what keeps a response's bytes deterministic for
 // a given value (and lets tests pin exact encodings).

@@ -10,8 +10,8 @@ import (
 
 // RunBatch evaluates the proxy benchmark under K settings in one sweep and
 // returns one report per setting, in input order, each bit-identical
-// (runtime, counters, metrics, stages) to what Run would have returned for
-// that setting alone.
+// (runtime, counters, metrics, stages) to what Run returns for that setting
+// alone: lanes are independent.
 //
 // Settings whose effective parameters drive the same execution trace — same
 // sampled input, chunking and task split, differing only in the pure
@@ -31,13 +31,10 @@ func RunBatch(pool *sim.ClusterPool, b *Benchmark, settings []Setting) ([]sim.Re
 	}
 	norm := make([]Setting, len(settings))
 	for i, s := range settings {
-		if s == nil {
-			s = DefaultSetting()
-		}
-		if err := s.Validate(); err != nil {
+		var err error
+		if norm[i], err = normalize(s); err != nil {
 			return nil, fmt.Errorf("core: batch setting %d: %w", i, err)
 		}
-		norm[i] = s
 	}
 
 	// Group the settings by trace key in first-appearance order.  Iteration
@@ -118,7 +115,7 @@ func (b *Benchmark) traceKey(s Setting) string {
 // runGroup executes one trace group on the given cluster: the shared trace
 // (input generation, motif compute, chunking) runs once, and a sim.Batch
 // accounts it into one lane per setting with that setting's extrapolation
-// factors.  It mirrors Run stage for stage.
+// factors.  It is the only evaluation pipeline: Run is a one-setting group.
 func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting) ([]sim.Report, error) {
 	k := len(settings)
 	ps := make([]Params, k)
@@ -176,11 +173,12 @@ func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting) ([]sim.Re
 	return batch.Reports(b.Name), nil
 }
 
-// runEdgeBatch is runEdge for a trace group: the chunked motif compute runs
-// once over the shared sample while each lane's extrapolation factor is
-// derived from that lane's own dataSize and weight, with the same
-// floating-point operations (and the same task-scale spreading rule) as the
-// solo path.
+// runEdgeBatch executes one motif edge for a trace group: the input sample
+// is split into chunks of at most ChunkSize bytes, distributed over
+// NumTasks worker tasks, and the motif runs once over the shared sample.
+// Each lane's extrapolation factor is derived from that lane's own dataSize
+// and weight, so the lane's edge represents DataSize * Weight bytes of
+// processed data.
 func (b *Benchmark) runEdgeBatch(batch *sim.Batch, node int, e Edge, in *motif.Dataset, ps []Params, settings []Setting) (*motif.Dataset, error) {
 	impl, err := motif.Lookup(e.Impl)
 	if err != nil {
@@ -214,8 +212,9 @@ func (b *Benchmark) runEdgeBatch(batch *sim.Batch, node int, e Edge, in *motif.D
 	shares := splitDataset(in, numTasks)
 	taskScales := scales
 	if len(shares) == 1 && numTasks > 1 {
-		// Unsplittable data set: spread the represented work across the
-		// would-be tasks, per lane (runEdge's rule).
+		// Unsplittable data set: every task would process the whole
+		// sample, so spread each lane's represented work across the
+		// would-be tasks instead.
 		taskScales = make([]float64, len(scales))
 		for i, s := range scales {
 			taskScales[i] = s / float64(numTasks)

@@ -25,7 +25,8 @@ func metricsJSON(t *testing.T, rep sim.Report) []byte {
 // property: for randomized K (including K=1 and K larger than the host
 // worker count), both architecture profiles and several host worker counts,
 // every lane of RunBatch must be bit-identical — metric bytes, aggregate
-// counters, runtime and stages — to a solo Run of the same setting.
+// counters, runtime and stages — to the solo reference path (RunSolo, which
+// drives the cluster directly) of the same setting.
 func TestRunBatchMatchesSequential(t *testing.T) {
 	for _, np := range testutil.Profiles() {
 		np := np
@@ -41,7 +42,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 				}
 				want := make([]sim.Report, k)
 				for i, s := range settings {
-					rep, err := core.Run(solo, b, s)
+					rep, err := core.RunSolo(solo, b, s)
 					if err != nil {
 						t.Fatalf("solo run %d: %v", i, err)
 					}

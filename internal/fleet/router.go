@@ -20,10 +20,6 @@ import (
 	"dataproxy/pkg/client"
 )
 
-// maxRequestBody bounds a routed request body; real run/tune bodies are a
-// few kilobytes, so the cap only stops hostile or corrupt payloads.
-const maxRequestBody = 8 << 20
-
 // Backend names one proxyd replica the router fronts.
 type Backend struct {
 	// Name is the replica's shard name (its proxyd -name / Config.Name),
@@ -311,7 +307,7 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 // readBody reads and strictly decodes a request body, returning the raw
 // bytes for verbatim forwarding.
 func readBody(w http.ResponseWriter, r *http.Request, v any) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, apihttp.MaxRequestBody))
 	if err != nil {
 		return nil, fmt.Errorf("fleet: reading request: %w", err)
 	}

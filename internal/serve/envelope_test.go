@@ -25,13 +25,16 @@ var knownCodes = map[client.ErrorCode]bool{
 }
 
 // TestErrorEnvelopeConformance drives every error path the HTTP surface can
-// take — handler-side validation failures, shed/draining rejections, missing
+// take — handler-side validation failures (a 9 MiB body included), shed/draining rejections, missing
 // resources, and the mux's own unmatched-route and wrong-method errors — and
 // asserts each response is the versioned JSON envelope with a known stable
 // code, never a bare-text body.  Retryable (429/503) responses must carry a
 // Retry-After header agreeing with the body's retry_after_ms.
 func TestErrorEnvelopeConformance(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
+	// A valid request padded past apihttp.MaxRequestBody: only the body cap
+	// rejects it.
+	oversized := `{"workload":"terasort"` + strings.Repeat(" ", 9<<20) + `}`
 
 	cases := []struct {
 		name       string
@@ -49,6 +52,8 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 		{"setting and settings", "POST", "/v1/run", `{"workload":"terasort","setting":{},"settings":[{}]}`, false, 400, client.CodeBadRequest},
 		{"empty batch", "POST", "/v1/run", `{"workload":"terasort","settings":[]}`, false, 400, client.CodeBadRequest},
 		{"bad tune threshold", "POST", "/v1/tune", `{"workload":"terasort","threshold":2}`, false, 400, client.CodeBadRequest},
+		{"oversized run body", "POST", "/v1/run", oversized, false, 400, client.CodeBadRequest},
+		{"oversized tune body", "POST", "/v1/tune", oversized, false, 400, client.CodeBadRequest},
 		{"unknown job", "GET", "/v1/jobs/job-999", "", false, 404, client.CodeNotFound},
 		{"unmatched route", "GET", "/v1/nope", "", false, 404, client.CodeNotFound},
 		{"wrong method", "GET", "/v1/run", "", false, 405, client.CodeBadRequest},

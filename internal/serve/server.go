@@ -475,7 +475,7 @@ type RunBatchResponse struct {
 // cache hits on later overlapping batches skip simulation per setting.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -652,7 +652,7 @@ type TuneResponse struct {
 
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	var req TuneRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -1043,9 +1043,10 @@ func boolGauge(b bool) int {
 }
 
 // decodeJSON decodes the request body strictly: unknown fields are errors so
-// typos in requests fail loudly instead of silently selecting defaults.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// typos in requests fail loudly instead of silently selecting defaults, and
+// a body over apihttp.MaxRequestBody is an error like the router's.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, apihttp.MaxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("serve: decoding request: %w", err)

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"dataproxy/internal/parallel"
-	"dataproxy/internal/perf"
-)
+import "dataproxy/internal/perf"
 
 // BatchTask is one unit of work of a lockstep batch stage: the task's trace
 // is executed once and accounted into every lane of the batch under that
@@ -15,35 +12,17 @@ type BatchTask struct {
 	// round-robin across the worker nodes, like Task.Node.
 	Node int
 	// Scales holds one extrapolation factor per lane.  A nil slice, a
-	// missing entry or a non-positive entry means 1, mirroring Task.Scale's
-	// zero-means-1 convention per lane.
+	// missing entry or a non-positive entry means 1, like Task.Scale.
 	Scales []float64
-}
-
-// laneScale resolves the effective extrapolation factor of one lane,
-// replicating newExec's `scale <= 0 means 1` normalisation per lane.
-func laneScale(scales []float64, lane int) float64 {
-	if lane >= len(scales) {
-		return 1
-	}
-	if s := scales[lane]; s > 0 {
-		return s
-	}
-	return 1
 }
 
 // Batch executes stages on a cluster once while accounting K settings'
 // counter lanes in lockstep.  The cluster's own nodes supply the cache
-// hierarchy, address allocator and core slots — exactly the state a solo run
-// would drive — but the per-node counters, virtual time and stage results
-// are shadowed per lane in the batch, so the cluster's accumulated state is
-// never consulted: lane reports come from Batch.Report.
-//
-// Bit-identity contract: every floating-point operation of the solo path
-// (Cluster.RunStage, Exec.Finish, Cluster.Report) is replicated per lane in
-// the same order, including Finish's `scale != 1` guard, so lane i of a
-// batch is bit-identical to a solo run of setting i whenever the batched
-// tasks drive the same trace.
+// hierarchy, address allocator and core slots, but the per-node counters,
+// virtual time and stage results are shadowed per lane in the batch, so the
+// cluster's accumulated state is neither advanced nor consulted: lane
+// reports come from Batch.Report.  Lanes are independent: lane i depends on
+// the shared trace and its own factors only.
 type Batch struct {
 	c *Cluster
 	k int
@@ -75,101 +54,17 @@ func NewBatch(c *Cluster, k int) *Batch {
 	return bt
 }
 
-// K returns the number of lanes.
-func (bt *Batch) K() int { return bt.k }
-
-// Cluster returns the cluster the batch executes on.
-func (bt *Batch) Cluster() *Cluster { return bt.c }
-
-// RunStage executes the tasks once and accounts the stage into every lane,
-// mirroring Cluster.RunStage: tasks group by node in first-appearance order,
-// groups run concurrently on the parallel engine while each group's tasks
-// run sequentially against the node's shared cache and allocator state, and
-// the virtual-time composition (slots, CPU seconds, I/O overlap) is applied
-// per lane with that lane's scaled totals.
+// RunStage executes the tasks once and accounts the stage into every lane:
+// the same task loop and time composition as Cluster.RunStage, with each
+// lane's counters, virtual time and stage results shadowed in the batch.
 func (bt *Batch) RunStage(stage string, tasks []BatchTask, parallelismPerNode int) {
-	c := bt.c
-	workers := c.Workers()
-	if len(workers) == 0 {
-		workers = c.nodes
-	}
-
-	type nodeStage struct {
-		node    *Node
-		tasks   []BatchTask
-		cycles  []uint64
-		diskSec []float64
-		netSec  []float64
-	}
-	var groups []*nodeStage
-	byNode := make(map[int]*nodeStage)
-	for i, t := range tasks {
-		node := c.nodeForTask(Task{Node: t.Node}, i, workers)
-		ns := byNode[node.id]
-		if ns == nil {
-			ns = &nodeStage{
-				node:    node,
-				cycles:  make([]uint64, bt.k),
-				diskSec: make([]float64, bt.k),
-				netSec:  make([]float64, bt.k),
-			}
-			byNode[node.id] = ns
-			groups = append(groups, ns)
-		}
-		ns.tasks = append(ns.tasks, t)
-	}
-
-	parallel.For(len(groups), 1, func(lo, hi int) {
-		for gi := lo; gi < hi; gi++ {
-			ns := groups[gi]
-			lanes := bt.counters[ns.node.id]
-			for _, t := range ns.tasks {
-				// The shared trace runs unscaled (scale 1); each lane then
-				// accounts the raw totals under its own factor below.
-				ex := newExec(ns.node, ns.node.execSeq, 1)
-				ns.node.execSeq++
-				if t.Fn != nil {
-					t.Fn(ex)
-				}
-				ex.finishRaw()
-				for lane := 0; lane < bt.k; lane++ {
-					s := laneScale(t.Scales, lane)
-					cnt := ex.counters.ScaledBy(s)
-					disk, net := ex.diskSeconds, ex.netSeconds
-					if s != 1 {
-						disk *= s
-						net *= s
-					}
-					lanes.Lane(lane).Add(cnt)
-					ns.cycles[lane] += cnt.Cycles
-					ns.diskSec[lane] += disk
-					ns.netSec[lane] += net
-				}
-			}
-		}
+	groups := bt.c.runTasks(tasks, bt.k, func(n *Node, lane int, cnt perf.Counters, _, _ float64) {
+		bt.counters[n.id].Lane(lane).Add(cnt)
 	})
-
-	p := c.cfg.Profile
 	for lane := 0; lane < bt.k; lane++ {
-		res := StageResult{Name: stage, Tasks: len(tasks), PerNodeSeconds: make(map[int]float64)}
-		for _, ns := range groups {
-			slots := len(ns.tasks)
-			if parallelismPerNode > 0 {
-				slots = parallelismPerNode
-			}
-			if cores := p.TotalCores(); slots > cores {
-				slots = cores
-			}
-			if slots < 1 {
-				slots = 1
-			}
-			cpuSec := float64(ns.cycles[lane]) / p.FrequencyHz / float64(slots)
-			ioSec := ns.diskSec[lane] + ns.netSec[lane]
-			nodeSec := composeTime(cpuSec, ioSec, c.cfg.IOOverlapFactor)
-			res.PerNodeSeconds[ns.node.id] = nodeSec
-			if nodeSec > res.Seconds {
-				res.Seconds = nodeSec
-			}
+		res := newStageResult(stage, len(tasks))
+		for _, g := range groups {
+			g.compose(&res, bt.c, lane, parallelismPerNode)
 		}
 		bt.elapsed[lane] += res.Seconds
 		bt.stages[lane] = append(bt.stages[lane], res)

@@ -17,7 +17,7 @@ type Task struct {
 	Node int
 	// Scale extrapolates the task's counters and I/O time by this factor,
 	// used when the task processes only a sample of its configured data.
-	// Zero means 1 (no extrapolation).
+	// Zero or a negative value means 1 (no extrapolation).
 	Scale float64
 }
 
@@ -153,87 +153,145 @@ func (c *Cluster) Run(stage string, tasks []Task) StageResult {
 // parallelism from the number of sampled tasks per node, which is the right
 // default when tasks are not scaled.
 func (c *Cluster) RunStage(stage string, tasks []Task, parallelismPerNode int) StageResult {
-	workers := c.Workers()
-	if len(workers) == 0 {
-		workers = c.nodes
-	}
-
-	// Group the tasks by the node they resolve to, preserving the per-node
-	// task order of the round-robin distribution.  Each group executes
-	// sequentially on one host goroutine, because its Execs share the node's
-	// cache hierarchy, address allocator and counters; independent nodes run
-	// concurrently on the parallel engine.  Every node sees exactly the task
-	// sequence (and therefore the allocation and cache-access sequence) it
-	// would see under fully sequential execution, so stage results are
-	// independent of the host worker count.
-	type nodeStage struct {
-		node    *Node
-		tasks   []Task
-		cycles  uint64
-		diskSec float64
-		netSec  float64
-	}
-	var groups []*nodeStage
-	byNode := make(map[int]*nodeStage)
+	lane := make([]BatchTask, len(tasks))
+	scales := make([]float64, len(tasks))
 	for i, t := range tasks {
-		node := c.nodeForTask(t, i, workers)
-		ns := byNode[node.id]
-		if ns == nil {
-			ns = &nodeStage{node: node}
-			byNode[node.id] = ns
-			groups = append(groups, ns)
-		}
-		ns.tasks = append(ns.tasks, t)
+		scales[i] = t.Scale
+		lane[i] = BatchTask{Fn: t.Fn, Node: t.Node, Scales: scales[i : i+1]}
 	}
-
-	parallel.For(len(groups), 1, func(lo, hi int) {
-		for gi := lo; gi < hi; gi++ {
-			ns := groups[gi]
-			for _, t := range ns.tasks {
-				ex := newExec(ns.node, ns.node.execSeq, t.Scale)
-				ns.node.execSeq++
-				if t.Fn != nil {
-					t.Fn(ex)
-				}
-				ex.Finish()
-				ns.cycles += ex.counters.Cycles
-				ns.diskSec += ex.diskSeconds
-				ns.netSec += ex.netSeconds
-			}
-		}
+	groups := c.runTasks(lane, 1, func(n *Node, _ int, cnt perf.Counters, disk, net float64) {
+		n.counters.Add(cnt)
+		n.diskSeconds += disk
+		n.netSeconds += net
 	})
-
-	res := StageResult{Name: stage, Tasks: len(tasks), PerNodeSeconds: make(map[int]float64)}
-	p := c.cfg.Profile
-	for _, ns := range groups {
-		slots := len(ns.tasks)
-		if parallelismPerNode > 0 {
-			slots = parallelismPerNode
-		}
-		if cores := p.TotalCores(); slots > cores {
-			slots = cores
-		}
-		if slots < 1 {
-			slots = 1
-		}
-		cpuSec := float64(ns.cycles) / p.FrequencyHz / float64(slots)
-		ioSec := ns.diskSec + ns.netSec
-		nodeSec := composeTime(cpuSec, ioSec, c.cfg.IOOverlapFactor)
-		res.PerNodeSeconds[ns.node.id] = nodeSec
-		if nodeSec > res.Seconds {
-			res.Seconds = nodeSec
-		}
-		ns.node.cpuSeconds += cpuSec
+	res := newStageResult(stage, len(tasks))
+	for _, g := range groups {
+		g.node.cpuSeconds += g.compose(&res, c, 0, parallelismPerNode)
 	}
 	c.elapsed += res.Seconds
 	c.stages = append(c.stages, res)
 	return res
 }
 
-// nodeForTask resolves the node a task runs on.
-func (c *Cluster) nodeForTask(t Task, i int, workers []*Node) *Node {
-	if t.Node >= 0 && t.Node < len(c.nodes) {
-		return c.nodes[t.Node]
+// stageGroup is one node's share of a stage: its tasks in stage order and,
+// per lane, their summed cycles and I/O seconds.
+type stageGroup struct {
+	node    *Node
+	tasks   []BatchTask
+	cycles  []uint64
+	diskSec []float64
+	netSec  []float64
+}
+
+// runTasks is the one task loop of Cluster.RunStage and Batch.RunStage.
+// It groups the tasks by the node they resolve to in first-appearance
+// order, preserving the per-node task order of the round-robin
+// distribution.  Each group executes sequentially on one host goroutine,
+// because its Execs share the node's cache hierarchy, address allocator
+// and core slots; independent nodes run concurrently on the parallel
+// engine.  Every node sees exactly the task sequence (and therefore the
+// allocation and cache-access sequence) it would see under fully
+// sequential execution, so results are independent of the host worker
+// count.
+//
+// Each task's trace runs once, unscaled.  Its raw totals are then
+// accounted into each of the k lanes under the task's factor for that
+// lane: account receives them (the node itself for a Cluster, a shadow
+// lane for a Batch; it is called concurrently for distinct nodes), and the
+// node's group sums them for the stage's time composition.
+func (c *Cluster) runTasks(tasks []BatchTask, k int, account func(n *Node, lane int, cnt perf.Counters, disk, net float64)) []*stageGroup {
+	workers := c.Workers()
+	if len(workers) == 0 {
+		workers = c.nodes
+	}
+	var groups []*stageGroup
+	byNode := make(map[int]*stageGroup)
+	for i, t := range tasks {
+		node := c.nodeForTask(t.Node, i, workers)
+		g := byNode[node.id]
+		if g == nil {
+			g = &stageGroup{
+				node:    node,
+				cycles:  make([]uint64, k),
+				diskSec: make([]float64, k),
+				netSec:  make([]float64, k),
+			}
+			byNode[node.id] = g
+			groups = append(groups, g)
+		}
+		g.tasks = append(g.tasks, t)
+	}
+
+	parallel.For(len(groups), 1, func(lo, hi int) {
+		for _, g := range groups[lo:hi] {
+			for _, t := range g.tasks {
+				ex := newExec(g.node, g.node.execSeq)
+				g.node.execSeq++
+				if t.Fn != nil {
+					t.Fn(ex)
+				}
+				ex.finishRaw()
+				for lane := 0; lane < k; lane++ {
+					s := laneScale(t.Scales, lane)
+					cnt := ex.counters.ScaledBy(s)
+					disk, net := ex.diskSeconds, ex.netSeconds
+					if s != 1 {
+						disk *= s
+						net *= s
+					}
+					account(g.node, lane, cnt, disk, net)
+					g.cycles[lane] += cnt.Cycles
+					g.diskSec[lane] += disk
+					g.netSec[lane] += net
+				}
+			}
+		}
+	})
+	return groups
+}
+
+// laneScale resolves a task's extrapolation factor in one lane: a missing
+// or non-positive entry means 1 (no extrapolation).
+func laneScale(scales []float64, lane int) float64 {
+	if lane < len(scales) && scales[lane] > 0 {
+		return scales[lane]
+	}
+	return 1
+}
+
+func newStageResult(stage string, tasks int) StageResult {
+	return StageResult{Name: stage, Tasks: tasks, PerNodeSeconds: make(map[int]float64)}
+}
+
+// compose records the group's node time in one lane of a stage: its CPU
+// time spread over the node's task slots, partially overlapped with its
+// I/O time.  The stage takes the slowest node's time.  It returns the CPU
+// seconds.
+func (g *stageGroup) compose(res *StageResult, c *Cluster, lane, parallelismPerNode int) float64 {
+	p := c.cfg.Profile
+	slots := len(g.tasks)
+	if parallelismPerNode > 0 {
+		slots = parallelismPerNode
+	}
+	if cores := p.TotalCores(); slots > cores {
+		slots = cores
+	}
+	if slots < 1 {
+		slots = 1
+	}
+	cpuSec := float64(g.cycles[lane]) / p.FrequencyHz / float64(slots)
+	nodeSec := composeTime(cpuSec, g.diskSec[lane]+g.netSec[lane], c.cfg.IOOverlapFactor)
+	res.PerNodeSeconds[g.node.id] = nodeSec
+	if nodeSec > res.Seconds {
+		res.Seconds = nodeSec
+	}
+	return cpuSec
+}
+
+// nodeForTask resolves the node a task pinned to node (or -1) runs on.
+func (c *Cluster) nodeForTask(node, i int, workers []*Node) *Node {
+	if node >= 0 && node < len(c.nodes) {
+		return c.nodes[node]
 	}
 	return workers[i%len(workers)]
 }

@@ -16,7 +16,6 @@ type Exec struct {
 	core *arch.Core
 
 	counters perf.Counters
-	scale    float64
 
 	// Instruction fetch / code footprint model.
 	codeRegion    Region
@@ -40,8 +39,7 @@ type Exec struct {
 	diskSeconds float64
 	netSeconds  float64
 
-	rng      uint64
-	finished bool
+	rng uint64
 }
 
 // sampleStats aggregates the outcome of the accesses actually pushed through
@@ -125,16 +123,12 @@ const (
 	defaultJumps = 60 // taken control transfers per 1000 instructions
 )
 
-func newExec(n *Node, coreSlot int, scale float64) *Exec {
-	if scale <= 0 {
-		scale = 1
-	}
+func newExec(n *Node, coreSlot int) *Exec {
 	cfg := n.cluster.cfg
 	e := &Exec{
 		node:          n,
 		cfg:           cfg,
 		core:          n.machine.Core(coreSlot),
-		scale:         scale,
 		codeJumpPer1k: defaultJumps,
 		fetchInterval: uint64(opsPerFetch * cfg.EventSampleRate),
 		memLine:       uint64(cfg.Profile.L3.LineBytes),
@@ -148,7 +142,7 @@ func newExec(n *Node, coreSlot int, scale float64) *Exec {
 func (e *Exec) Node() *Node { return e.node }
 
 // Counters exposes the raw counters accumulated so far (pre-extrapolation
-// until Finish has run).
+// until the task finishes).
 func (e *Exec) Counters() perf.Counters { return e.counters }
 
 // SetCodeFootprint models the instruction working-set size of the software
@@ -183,7 +177,7 @@ func (e *Exec) nextRand() uint64 {
 // call spreads its modelled fetches across the whole run by letting each
 // one stand for `skip` real fetches, so the sample reflects steady-state
 // rather than warm-up behaviour.  The unmodelled remainder is covered by
-// the extrapolation in Finish, which scales the sampled miss counts up to
+// the extrapolation when the task finishes, which scales the sampled miss counts up to
 // the full L1IAccesses total.
 func (e *Exec) countInstr(n uint64) {
 	e.counters.L1IAccesses += n
@@ -315,7 +309,7 @@ func (e *Exec) access(r Region, off, size uint64, write bool) {
 	if limit := uint64(e.cfg.MaxModelOpsPerCall); lines > limit {
 		// Capped call: model `limit` lines spread evenly across the run so
 		// capacity effects of large runs stay visible; the unmodelled
-		// remainder is extrapolated at Finish.  The cap counts lines, not
+		// remainder is extrapolated when the task finishes.  The cap counts lines, not
 		// words — probe i stands for the run's lines around index
 		// i*lines/limit, so the sample spans the whole run even when lines
 		// is not a multiple of the cap.
@@ -348,7 +342,7 @@ func (e *Exec) access(r Region, off, size uint64, write bool) {
 		// way the per-word engine's wrapping addresses did.  A sub-line
 		// region makes every chunk tiny, so the number of chunk walks is
 		// bounded by the same per-call cap as the strided branch and the
-		// unwalked remainder is extrapolated at Finish.
+		// unwalked remainder is extrapolated when the task finishes.
 		walked := uint64(0)
 		chunks := uint64(e.cfg.MaxModelOpsPerCall)
 		for remaining := size; remaining > 0 && chunks > 0; chunks-- {
@@ -379,8 +373,7 @@ func (e *Exec) Touch(r Region, off uint64, write bool) {
 }
 
 // ReadDisk records reading size bytes from the node's local disk.  Disk time
-// is charged at the profile's sequential bandwidth; seek-dominated access
-// patterns can add explicit time through DiskSecondsHint.
+// is charged at the profile's sequential bandwidth.
 func (e *Exec) ReadDisk(size uint64) {
 	e.counters.DiskReadBytes += size
 	p := e.cfg.Profile
@@ -426,43 +419,11 @@ func (e *Exec) ioPathInstructions(size uint64) {
 	e.countInstr(lines*2 + lines/8)
 }
 
-// DiskSecondsHint adds extra virtual disk time without byte accounting, used
-// by framework models for seek-dominated activity (e.g. shuffle of many
-// small spill files).
-func (e *Exec) DiskSecondsHint(sec float64) {
-	if sec > 0 {
-		e.diskSeconds += sec
-	}
-}
-
-// Finish extrapolates the sampled model observations onto the full counter
-// totals, derives cycles, applies the extrapolation scale factor and merges
-// the result into the node.  It is called exactly once by the cluster.
-func (e *Exec) Finish() {
-	if e.finished {
-		return
-	}
-	e.finishRaw()
-
-	if e.scale != 1 {
-		e.counters.Scale(e.scale)
-		e.diskSeconds *= e.scale
-		e.netSeconds *= e.scale
-	}
-	e.node.absorb(e)
-}
-
-// finishRaw performs the sample extrapolation and cycle derivation of Finish
-// without applying the scale factor or merging into the node.  Batched
-// execution calls it directly: the raw totals are then accounted once per
-// lane under that lane's own scale factor, replicating Finish's `scale != 1`
-// guard per lane so the unscaled lane stays bit-identical to a solo run.
+// finishRaw extrapolates the sampled model observations onto the full
+// counter totals and derives cycles.  The task loop calls it exactly once
+// per Exec, then accounts the raw totals into each lane under that lane's
+// extrapolation factor.
 func (e *Exec) finishRaw() {
-	if e.finished {
-		return
-	}
-	e.finished = true
-
 	// Extrapolate data-side cache behaviour.
 	if e.data.accesses > 0 {
 		f := float64(e.counters.L1DAccesses) / float64(e.data.accesses)

@@ -106,10 +106,3 @@ func (n *Node) Reset() {
 func (n *Node) String() string {
 	return fmt.Sprintf("node%d(%s)", n.id, n.machine.Profile().Name)
 }
-
-// absorb merges a finished Exec into the node's counters and virtual time.
-func (n *Node) absorb(e *Exec) {
-	n.counters.Add(e.counters)
-	n.diskSeconds += e.diskSeconds
-	n.netSeconds += e.netSeconds
-}

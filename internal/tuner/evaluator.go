@@ -129,9 +129,3 @@ func (ev *MemoEvaluator) EvaluateLanes(settings []core.Setting) ([]perf.Metrics,
 // Memo exposes the evaluator's measurement memo (e.g. so a tune can share
 // it).
 func (ev *MemoEvaluator) Memo() *Memo { return ev.memo }
-
-// Benchmark returns the bound proxy benchmark.
-func (ev *MemoEvaluator) Benchmark() *core.Benchmark { return ev.b }
-
-// Pool returns the bound cluster pool.
-func (ev *MemoEvaluator) Pool() *sim.ClusterPool { return ev.pool }

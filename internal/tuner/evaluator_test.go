@@ -13,7 +13,8 @@ import (
 	"dataproxy/internal/testutil"
 )
 
-// TestMeasureBatchDeduplicatesAndCaches drives the batch memo API directly:
+// TestMeasureBatchDeduplicatesAndCaches drives the batch memo API
+// (MeasureLanes) directly:
 // duplicate keys within one batch execute once (first occurrence fresh, the
 // rest answered from the fresh entry), and a second batch over the same keys
 // executes nothing.
@@ -35,8 +36,8 @@ func TestMeasureBatchDeduplicatesAndCaches(t *testing.T) {
 	}
 
 	keys := []string{"a", "bb", "a", "ccc"}
-	metrics, fresh, err := m.MeasureBatch(keys, run(keys))
-	if err != nil {
+	metrics, fresh, errs := m.MeasureLanes(keys, run(keys))
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	if want := []bool{true, true, false, true}; !equalBools(fresh, want) {
@@ -51,11 +52,11 @@ func TestMeasureBatchDeduplicatesAndCaches(t *testing.T) {
 		}
 	}
 
-	metrics2, fresh2, err := m.MeasureBatch(keys, func(cold []int) ([]perf.Metrics, error) {
+	metrics2, fresh2, errs := m.MeasureLanes(keys, func(cold []int) ([]perf.Metrics, error) {
 		t.Errorf("warm batch re-executed cold indexes %v", cold)
 		return nil, errors.New("must not run")
 	})
-	if err != nil {
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	for i := range keys {
@@ -89,11 +90,13 @@ func equalBools(a, b []bool) bool {
 func TestMeasureBatchErrorCompletesAllEntries(t *testing.T) {
 	m := NewMemo()
 	boom := errors.New("boom")
-	_, _, err := m.MeasureBatch([]string{"x", "y"}, func(cold []int) ([]perf.Metrics, error) {
+	_, _, errs := m.MeasureLanes([]string{"x", "y"}, func(cold []int) ([]perf.Metrics, error) {
 		return nil, boom
 	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("batch error %v, want boom", err)
+	for i, err := range errs {
+		if !errors.Is(err, boom) {
+			t.Fatalf("lane %d error %v, want boom", i, err)
+		}
 	}
 	for _, key := range []string{"x", "y"} {
 		_, fresh, err := m.Measure(key, func() (perf.Metrics, error) {
@@ -116,7 +119,7 @@ func TestMeasureBatchPanicCompletesAllEntries(t *testing.T) {
 				t.Error("panic did not propagate")
 			}
 		}()
-		_, _, _ = m.MeasureBatch([]string{"p", "q"}, func(cold []int) ([]perf.Metrics, error) {
+		_, _, _ = m.MeasureLanes([]string{"p", "q"}, func(cold []int) ([]perf.Metrics, error) {
 			panic("kaboom")
 		})
 	}()
@@ -135,11 +138,13 @@ func TestMeasureBatchPanicCompletesAllEntries(t *testing.T) {
 // error cached on every cold entry, not a silent partial write.
 func TestMeasureBatchLengthMismatch(t *testing.T) {
 	m := NewMemo()
-	_, _, err := m.MeasureBatch([]string{"u", "v"}, func(cold []int) ([]perf.Metrics, error) {
+	_, _, errs := m.MeasureLanes([]string{"u", "v"}, func(cold []int) ([]perf.Metrics, error) {
 		return make([]perf.Metrics, 1), nil
 	})
-	if err == nil || !strings.Contains(err.Error(), "returned 1 results for 2 settings") {
-		t.Fatalf("err %v, want length-mismatch error", err)
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "returned 1 results for 2 settings") {
+			t.Fatalf("lane %d: err %v, want length-mismatch error", i, err)
+		}
 	}
 }
 
@@ -232,7 +237,7 @@ func TestMeasureBatchConcurrentOverlap(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			batch := append([]string{}, keys[g%3:]...)
-			_, _, err := m.MeasureBatch(batch, func(cold []int) ([]perf.Metrics, error) {
+			_, _, errs := m.MeasureLanes(batch, func(cold []int) ([]perf.Metrics, error) {
 				mu.Lock()
 				for _, i := range cold {
 					executions[(g%3)+i]++
@@ -240,7 +245,7 @@ func TestMeasureBatchConcurrentOverlap(t *testing.T) {
 				mu.Unlock()
 				return make([]perf.Metrics, len(cold)), nil
 			})
-			if err != nil {
+			if err := errors.Join(errs...); err != nil {
 				t.Error(err)
 			}
 		}()

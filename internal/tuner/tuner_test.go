@@ -229,12 +229,12 @@ func TestMemoSingleflight(t *testing.T) {
 }
 
 // TestMemoPeek checks the non-blocking read path the serving layer answers
-// cached requests from: a Peek never executes anything, misses on unknown
+// cached requests from: a PeekBytes never executes anything, misses on unknown
 // and in-flight keys, and hits completed keys (errors included).
 func TestMemoPeek(t *testing.T) {
 	memo := NewMemo()
-	if _, ok, _ := memo.Peek("absent"); ok {
-		t.Fatal("Peek of an unknown key must miss")
+	if _, ok, _ := memo.PeekBytes([]byte("absent")); ok {
+		t.Fatal("PeekBytes of an unknown key must miss")
 	}
 
 	inFlight := make(chan struct{})
@@ -247,27 +247,27 @@ func TestMemoPeek(t *testing.T) {
 		})
 	}()
 	<-inFlight
-	if _, ok, _ := memo.Peek("slow"); ok {
-		t.Fatal("Peek of an in-flight key must miss, not block or return partial data")
+	if _, ok, _ := memo.PeekBytes([]byte("slow")); ok {
+		t.Fatal("PeekBytes of an in-flight key must miss, not block or return partial data")
 	}
 	close(release)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if m, ok, err := memo.Peek("slow"); ok {
+		if m, ok, err := memo.PeekBytes([]byte("slow")); ok {
 			if err != nil || m.IPC != 2 {
-				t.Fatalf("Peek returned %v, %v", m, err)
+				t.Fatalf("PeekBytes returned %v, %v", m, err)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("Peek never observed the completed measurement")
+			t.Fatal("PeekBytes never observed the completed measurement")
 		}
 	}
 
 	wantErr := fmt.Errorf("setting rejected")
 	_, _, _ = memo.Measure("failing", func() (perf.Metrics, error) { return perf.Metrics{}, wantErr })
-	if _, ok, err := memo.Peek("failing"); !ok || err == nil {
-		t.Fatal("Peek must replay cached errors so failing settings are not retried")
+	if _, ok, err := memo.PeekBytes([]byte("failing")); !ok || err == nil {
+		t.Fatal("PeekBytes must replay cached errors so failing settings are not retried")
 	}
 }
 
@@ -287,8 +287,8 @@ func TestMemoMeasurePanicCachesError(t *testing.T) {
 	if _, fresh, err := memo.Measure("boom", func() (perf.Metrics, error) { return perf.Metrics{IPC: 1}, nil }); fresh || err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("later Measure got fresh=%v err=%v, want the cached panic error", fresh, err)
 	}
-	if _, ok, err := memo.Peek("boom"); !ok || err == nil {
-		t.Fatalf("Peek got ok=%v err=%v, want the cached panic error", ok, err)
+	if _, ok, err := memo.PeekBytes([]byte("boom")); !ok || err == nil {
+		t.Fatalf("PeekBytes got ok=%v err=%v, want the cached panic error", ok, err)
 	}
 }
 
