@@ -130,6 +130,7 @@ func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting) ([]sim.Re
 
 	batch := sim.NewBatch(cluster, k)
 
+	// The proxy benchmark is pinned to one node.
 	node := 0
 	if workers := cluster.Workers(); len(workers) > 0 {
 		node = workers[0].ID()
@@ -141,6 +142,12 @@ func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting) ([]sim.Re
 		return nil, err
 	}
 
+	// Generate the sampled input data set (with the original workload's
+	// data type and distribution) as a lightly-accounted stage of its own.
+	// Big data proxies stream their whole configured input volume from
+	// disk, so the sampled read is extrapolated to DataSize bytes; AI
+	// proxies only read the sampled batch (the paper measures near-zero
+	// disk traffic for the AI workloads).
 	inputScales := make([]float64, k)
 	for i, p := range ps {
 		inputScales[i] = 1
@@ -193,6 +200,7 @@ func (b *Benchmark) runEdgeBatch(batch *sim.Batch, node int, e Edge, in *motif.D
 	if inBytes == 0 {
 		inBytes = 1
 	}
+	// Work volume this edge stands for, per lane.
 	scales := make([]float64, len(ps))
 	for i, p := range ps {
 		work := float64(p.DataSize) * e.Weight * settings[i].Get("weight")

@@ -7,9 +7,10 @@ import (
 	"dataproxy/internal/sim"
 )
 
-// runSolo is the solo evaluation path Run had before it became a one-lane
-// sweep: it drives the cluster directly and reads the cluster's own report.
-// It stays as the independent reference of the lane property tests.
+// runSolo evaluates one setting without the lane engine: it drives the
+// cluster directly, one sim.Cluster stage per input and edge, and returns
+// the cluster's own report.  It is the independent reference the lane
+// property tests compare RunBatch against.
 func runSolo(cluster *sim.Cluster, b *Benchmark, setting Setting) (sim.Report, error) {
 	if err := b.Validate(); err != nil {
 		return sim.Report{}, err

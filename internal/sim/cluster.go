@@ -153,6 +153,8 @@ func (c *Cluster) Run(stage string, tasks []Task) StageResult {
 // parallelism from the number of sampled tasks per node, which is the right
 // default when tasks are not scaled.
 func (c *Cluster) RunStage(stage string, tasks []Task, parallelismPerNode int) StageResult {
+	// A cluster stage is a one-lane stage accounted into the nodes
+	// themselves.
 	lane := make([]BatchTask, len(tasks))
 	scales := make([]float64, len(tasks))
 	for i, t := range tasks {
