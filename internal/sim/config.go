@@ -48,9 +48,9 @@ type ClusterConfig struct {
 	// line granularity (arch.Cache.AccessRun): a capped call instead probes
 	// `cap` lines spread evenly across the run, one arch.Cache.AccessLine
 	// each, and the remainder of the call is extrapolated when the task
-	// finishes.  Intra-line word accesses are never probed —
-	// they are L1 hits by construction and are accounted arithmetically —
-	// so one unit of this budget covers a full line's worth of words.
+	// finishes.  Intra-line word accesses are never probed — they are L1
+	// hits by construction and are accounted arithmetically — so one unit
+	// of this budget covers a full line's worth of words.
 	// Zero selects the default.
 	MaxModelOpsPerCall int
 

@@ -177,8 +177,8 @@ func (e *Exec) nextRand() uint64 {
 // call spreads its modelled fetches across the whole run by letting each
 // one stand for `skip` real fetches, so the sample reflects steady-state
 // rather than warm-up behaviour.  The unmodelled remainder is covered by
-// the extrapolation when the task finishes, which scales the sampled miss counts up to
-// the full L1IAccesses total.
+// the extrapolation when the task finishes, which scales the sampled miss
+// counts up to the full L1IAccesses total.
 func (e *Exec) countInstr(n uint64) {
 	e.counters.L1IAccesses += n
 	e.fetchPending += n
@@ -309,8 +309,8 @@ func (e *Exec) access(r Region, off, size uint64, write bool) {
 	if limit := uint64(e.cfg.MaxModelOpsPerCall); lines > limit {
 		// Capped call: model `limit` lines spread evenly across the run so
 		// capacity effects of large runs stay visible; the unmodelled
-		// remainder is extrapolated when the task finishes.  The cap counts lines, not
-		// words — probe i stands for the run's lines around index
+		// remainder is extrapolated when the task finishes.  The cap counts
+		// lines, not words — probe i stands for the run's lines around index
 		// i*lines/limit, so the sample spans the whole run even when lines
 		// is not a multiple of the cap.
 		for i := uint64(0); i < limit; i++ {
